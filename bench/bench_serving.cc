@@ -99,6 +99,17 @@ std::string Ms(const common::LatencyHistogram& h, double q) {
   return common::TablePrinter::Fmt(h.QuantileUs(q) / 1000.0, 3);
 }
 
+/// Share of served encoder steps the workers reused from users' encoder
+/// carries instead of stepping (DESIGN.md §17).
+std::string CarriedShare(const serve::ServiceStats& stats) {
+  const uint64_t total = stats.encoded_steps + stats.carried_steps;
+  return common::TablePrinter::Fmt(
+      total == 0 ? 0.0
+                 : static_cast<double>(stats.carried_steps) /
+                       static_cast<double>(total),
+      3);
+}
+
 /// Outcome of the durability pass: snapshot latency under live traffic plus
 /// the recovery-side numbers a restart budget is built from.
 struct DurabilityReport {
@@ -323,7 +334,6 @@ OverloadRun RunOverloadOnce(core::AdaptableModel& model,
   serve::ServiceConfig svc;
   svc.workers = 4;
   svc.max_batch = 8;
-  svc.max_wait_us = 500;
   svc.queue_capacity = queue_capacity;
   svc.deadline_us = deadline_us;
   svc.adapt.mode =
@@ -697,7 +707,8 @@ int main(int argc, char** argv) {
                                serve::ServiceForwardMode::kPlan);
   common::TablePrinter ftable({"forward", "qps", "e2e p50 ms", "e2e p95 ms",
                                "e2e p99 ms", "encode p95 ms",
-                               "plan fallbacks"});
+                               "plan fallbacks", "encoded steps",
+                               "carried steps", "carried share"});
   const struct {
     const char* name;
     const RunReport* r;
@@ -707,7 +718,10 @@ int main(int argc, char** argv) {
                    Ms(row.r->load.e2e_us, 0.50), Ms(row.r->load.e2e_us, 0.95),
                    Ms(row.r->load.e2e_us, 0.99),
                    Ms(row.r->stats.encode_us, 0.95),
-                   std::to_string(row.r->stats.plan_fallbacks)});
+                   std::to_string(row.r->stats.plan_fallbacks),
+                   std::to_string(row.r->stats.encoded_steps),
+                   std::to_string(row.r->stats.carried_steps),
+                   CarriedShare(row.r->stats)});
   }
   ftable.Print();
   const double graph_p50 = graph_run.load.e2e_us.QuantileUs(0.50);
@@ -717,6 +731,33 @@ int main(int argc, char** argv) {
                 "(negative = plan faster)\n",
                 (plan_p50 - graph_p50) / graph_p50 * 100.0);
   }
+
+  // Batching at the same fixed rate (the ROADMAP item 2 gate: p50 of batch
+  // 8 must not exceed p50 of batch 1). Formation is work-conserving, so
+  // batch 8 only ever groups requests that were already waiting.
+  std::printf("\nbatching at %.1f offered qps (4 workers, graph walk):\n",
+              paced_qps);
+  common::TablePrinter btable({"batch", "qps", "e2e p50 ms", "e2e p99 ms",
+                               "queue p50 ms", "mean batch",
+                               "carried share"});
+  double batch_p50[2] = {0, 0};
+  for (const int max_batch : {1, 8}) {
+    const RunReport r = RunOnce(model, stream, 4, max_batch, paced, cap,
+                                serve::ServiceForwardMode::kGraph);
+    batch_p50[max_batch == 1 ? 0 : 1] = r.load.e2e_us.QuantileUs(0.50);
+    btable.AddRow({std::to_string(max_batch),
+                   common::TablePrinter::Fmt(r.qps, 1),
+                   Ms(r.load.e2e_us, 0.50), Ms(r.load.e2e_us, 0.99),
+                   Ms(r.stats.queue_us, 0.50),
+                   common::TablePrinter::Fmt(r.stats.MeanBatchSize(), 2),
+                   CarriedShare(r.stats)});
+  }
+  btable.Print();
+  std::printf("batch 8 p50 vs batch 1 p50 at fixed qps: %+.1f%% "
+              "(gate: <= 0; one run each, compare repeated runs)\n",
+              batch_p50[0] > 0
+                  ? (batch_p50[1] - batch_p50[0]) / batch_p50[0] * 100.0
+                  : 0.0);
 
   if (report) {
     WriteServingJson("BENCH_serving.json", requests, reports, &graph_run,

@@ -1,6 +1,9 @@
 #include "core/encoder.h"
 
+#include <algorithm>
+
 #include "common/check.h"
+#include "nn/autograd_mode.h"
 #include "nn/ops.h"
 #include "nn/stacked.h"
 
@@ -109,6 +112,35 @@ TrajectoryEncoder::TrajectoryEncoder(const ModelConfig& config,
 nn::Tensor TrajectoryEncoder::Forward(const std::vector<data::Point>& points,
                                       bool training) {
   return seq_->Forward(embedding_->Forward(points), training);
+}
+
+size_t TrajectoryEncoder::EncodeCarried(const std::vector<data::Point>& points,
+                                        const EncoderCarry* prev,
+                                        EncoderCarry* next) {
+  ADAMOVE_CHECK(can_carry());
+  ADAMOVE_CHECK(!points.empty());
+  const bool extends =
+      prev != nullptr && prev->window.size() < points.size() &&
+      std::equal(prev->window.begin(), prev->window.end(), points.begin());
+  const size_t carried = extends ? prev->window.size() : 0;
+  next->window = points;
+  next->state = extends ? prev->state : std::vector<float>();
+  nn::NoGradGuard no_grad;
+  const nn::Tensor x =
+      extends ? embedding_->Forward(std::vector<data::Point>(
+                    points.begin() + static_cast<int64_t>(carried),
+                    points.end()))
+              : embedding_->Forward(points);
+  nn::Tensor rows = seq_->ForwardCarry(x, &next->state);
+  if (extends) {
+    next->reps.reserve(points.size() * static_cast<size_t>(hidden_size()));
+    next->reps.assign(prev->reps.begin(), prev->reps.end());
+    next->reps.insert(next->reps.end(), rows.data().begin(),
+                      rows.data().end());
+  } else {
+    next->reps = std::move(rows.data());  // `rows` is ours alone
+  }
+  return carried;
 }
 
 }  // namespace adamove::core

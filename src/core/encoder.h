@@ -45,6 +45,25 @@ class PointEmbedding : public nn::Module {
   std::unique_ptr<nn::Embedding> user_emb_;
 };
 
+/// One caller's encoder carry (DESIGN.md §17): the last window encoded for
+/// it, that window's prefix representations, and the recurrent state after
+/// the window's last point. It caches a pure function of (window, weights),
+/// so any self-consistent carry is safe to reuse and safe to drop — but a
+/// weight change makes it stale.
+struct EncoderCarry {
+  std::vector<data::Point> window;
+  /// {window.size(), hidden}, row-major: TrajectoryEncoder::Forward's rows.
+  std::vector<float> reps;
+  /// nn::SequenceEncoder::ForwardCarry state after the last row.
+  std::vector<float> state;
+
+  /// Heap footprint, for resident-memory accounting.
+  size_t Bytes() const {
+    return sizeof(EncoderCarry) + window.capacity() * sizeof(data::Point) +
+           (reps.capacity() + state.capacity()) * sizeof(float);
+  }
+};
+
 /// The trajectory encoder f_Φ of §III-C: each point is embedded per Eq. (4)
 /// and the embedding sequence is run through a causal sequential encoder
 /// (Eq. 5). Row t of the output encodes the trajectory prefix up to t, which
@@ -55,6 +74,21 @@ class TrajectoryEncoder : public nn::Module {
 
   /// points -> {T, hidden} prefix representations.
   nn::Tensor Forward(const std::vector<data::Point>& points, bool training);
+
+  /// Whether EncodeCarried can resume this encoder from a carried state:
+  /// true for the recurrent families (stacked or not), false for the
+  /// transformer.
+  bool can_carry() const { return seq_->state_size() > 0; }
+
+  /// Encodes `points` into *next for inference. When `points` strictly
+  /// extends prev->window (exact Point equality on every shared point),
+  /// only the new suffix is embedded and stepped, from prev->state, and
+  /// prev's rows are reused; any other window (no prev, a slide, a reset,
+  /// an equal or shorter window) is encoded whole from the zero state.
+  /// Either way next->reps is bit-identical to Forward(points)'s data.
+  /// Requires can_carry(). Returns the steps reused from prev (0 on a miss).
+  size_t EncodeCarried(const std::vector<data::Point>& points,
+                       const EncoderCarry* prev, EncoderCarry* next);
 
   int64_t hidden_size() const { return seq_->hidden_size(); }
   int64_t input_size() const { return embedding_->dim(); }

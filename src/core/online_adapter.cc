@@ -50,14 +50,14 @@ float Cosine(const float* a, size_t n, const std::vector<float>& b) {
 
 }  // namespace
 
-void OnlineAdapter::Observe(int64_t user, const std::vector<float>& pattern,
+void OnlineAdapter::Observe(int64_t user, std::vector<float> pattern,
                             int64_t next_location, int64_t timestamp) {
   ADAMOVE_CHECK(!pattern.empty());
   // Simulated ingestion failure: the pattern is dropped, the knowledge base
   // stays consistent (it just never saw this transition).
   if (common::FaultPoint("core.kb.ingest")) return;
   auto& entries = users_[user].by_location[next_location];
-  entries.push_back(Entry{pattern, timestamp});
+  entries.push_back(Entry{std::move(pattern), timestamp});
   if (entries.size() > kMaxCandidatesPerLocation) {
     entries.erase(entries.begin());  // FIFO: drop the oldest candidate
   }
@@ -99,7 +99,8 @@ size_t OnlineAdapter::DrainPending(int64_t user) {
   it->second.pending.clear();
   dirty_.erase(user);
   for (PendingDelta& delta : pending) {
-    Observe(user, delta.pattern, delta.next_location, delta.timestamp);
+    Observe(user, std::move(delta.pattern), delta.next_location,
+            delta.timestamp);
   }
   return pending.size();
 }
@@ -327,7 +328,7 @@ std::vector<float> OnlineAdapter::ObserveAndPredict(
     std::vector<float> pattern(
         reps.data().begin() + k * hidden,
         reps.data().begin() + (k + 1) * hidden);
-    Observe(sample.user, pattern,
+    Observe(sample.user, std::move(pattern),
             sample.recent[static_cast<size_t>(k + 1)].location,
             sample.recent[static_cast<size_t>(k + 1)].timestamp);
   }

@@ -80,8 +80,10 @@ class OnlineAdapter {
 
   /// Ingests one observed transition of `user`: the trajectory pattern
   /// `pattern` (the encoder state before the visit) whose true next
-  /// location turned out to be `next_location` at `timestamp`.
-  void Observe(int64_t user, const std::vector<float>& pattern,
+  /// location turned out to be `next_location` at `timestamp`. The pattern
+  /// is taken by value and moved into the knowledge base, so a caller that
+  /// hands over an rvalue pays one allocation per ingest, not two.
+  void Observe(int64_t user, std::vector<float> pattern,
                int64_t next_location, int64_t timestamp);
 
   /// Deferred-mode ingest: buffers the transition into the user's pending

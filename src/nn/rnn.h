@@ -20,6 +20,20 @@ class SequenceEncoder : public Module {
  public:
   virtual Tensor Forward(const Tensor& x, bool training) = 0;
   virtual int64_t hidden_size() const = 0;
+
+  /// Floats of recurrent state carried from one step to the next (h, plus
+  /// c for an LSTM, per layer). 0 means the encoder cannot resume from a
+  /// state: the transformer attends to every earlier row.
+  virtual int64_t state_size() const { return 0; }
+
+  /// Forward resumed from a carried state, for inference. `*state` is
+  /// either empty (the zero state a sequence starts from) or the
+  /// state_size() floats an earlier call left; on return it holds the
+  /// state after x's last row. The recurrence is the one Forward runs and
+  /// MatMul is row-position invariant, so a sequence encoded in pieces,
+  /// with the state carried between them, gives Forward's rows bit for
+  /// bit. CHECK-fails when state_size() is 0.
+  virtual Tensor ForwardCarry(const Tensor& x, std::vector<float>* state);
 };
 
 /// Vanilla (Elman) RNN: h_t = tanh(x_t W_ih + h_{t-1} W_hh + b).
@@ -29,6 +43,8 @@ class RnnEncoder : public SequenceEncoder {
 
   Tensor Forward(const Tensor& x, bool training) override;
   int64_t hidden_size() const override { return hidden_size_; }
+  int64_t state_size() const override { return hidden_size_; }
+  Tensor ForwardCarry(const Tensor& x, std::vector<float>* state) override;
 
   /// Weight accessors for the static forward-plan compiler (src/nn/plan),
   /// which re-expresses Forward as a flat op list over these tensors.
@@ -38,6 +54,10 @@ class RnnEncoder : public SequenceEncoder {
   const Tensor& bias() const { return bias_; }
 
  private:
+  /// The recurrence shared by Forward and ForwardCarry: steps x's rows
+  /// from *h and leaves the final hidden state there.
+  Tensor Recur(const Tensor& x, Tensor* h) const;
+
   int64_t input_size_;
   int64_t hidden_size_;
   Tensor w_ih_;
@@ -52,6 +72,9 @@ class LstmEncoder : public SequenceEncoder {
 
   Tensor Forward(const Tensor& x, bool training) override;
   int64_t hidden_size() const override { return hidden_size_; }
+  /// h then c.
+  int64_t state_size() const override { return 2 * hidden_size_; }
+  Tensor ForwardCarry(const Tensor& x, std::vector<float>* state) override;
 
   /// Weight accessors for the static forward-plan compiler (src/nn/plan).
   int64_t input_size() const { return input_size_; }
@@ -60,6 +83,10 @@ class LstmEncoder : public SequenceEncoder {
   const Tensor& bias() const { return bias_; }
 
  private:
+  /// The recurrence shared by Forward and ForwardCarry: steps x's rows
+  /// from (*h, *c) and leaves the final state there.
+  Tensor Recur(const Tensor& x, Tensor* h, Tensor* c) const;
+
   int64_t input_size_;
   int64_t hidden_size_;
   Tensor w_ih_;  // {in, 4H}
@@ -74,6 +101,8 @@ class GruEncoder : public SequenceEncoder {
 
   Tensor Forward(const Tensor& x, bool training) override;
   int64_t hidden_size() const override { return hidden_size_; }
+  int64_t state_size() const override { return hidden_size_; }
+  Tensor ForwardCarry(const Tensor& x, std::vector<float>* state) override;
 
   /// Weight accessors for the static forward-plan compiler (src/nn/plan).
   int64_t input_size() const { return input_size_; }
@@ -83,6 +112,9 @@ class GruEncoder : public SequenceEncoder {
   const Tensor& b_hh() const { return b_hh_; }
 
  private:
+  /// The recurrence shared by Forward and ForwardCarry (see RnnEncoder).
+  Tensor Recur(const Tensor& x, Tensor* h) const;
+
   int64_t input_size_;
   int64_t hidden_size_;
   Tensor w_ih_;  // {in, 3H}

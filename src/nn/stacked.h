@@ -32,6 +32,39 @@ class StackedEncoder : public SequenceEncoder {
     return layers_.back()->hidden_size();
   }
 
+  /// The layers' states back to back, in layer order; 0 unless every layer
+  /// carries one.
+  int64_t state_size() const override {
+    int64_t total = 0;
+    for (const auto& layer : layers_) {
+      if (layer->state_size() == 0) return 0;
+      total += layer->state_size();
+    }
+    return total;
+  }
+
+  Tensor ForwardCarry(const Tensor& x, std::vector<float>* state) override {
+    ADAMOVE_CHECK(state->empty() ||
+                  static_cast<int64_t>(state->size()) == state_size());
+    std::vector<float> next;
+    std::vector<float> layer_state;
+    size_t offset = 0;
+    Tensor h = x;
+    for (auto& layer : layers_) {
+      const size_t n = static_cast<size_t>(layer->state_size());
+      layer_state.clear();
+      if (!state->empty()) {
+        layer_state.assign(state->begin() + static_cast<int64_t>(offset),
+                           state->begin() + static_cast<int64_t>(offset + n));
+      }
+      h = layer->ForwardCarry(h, &layer_state);
+      next.insert(next.end(), layer_state.begin(), layer_state.end());
+      offset += n;
+    }
+    *state = std::move(next);
+    return h;
+  }
+
   size_t num_layers() const { return layers_.size(); }
 
   /// Layer access for the static forward-plan compiler (src/nn/plan), which

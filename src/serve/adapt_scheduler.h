@@ -75,7 +75,7 @@ class PressureGauge {
   /// Folds one batch-formation observation into the gauge.
   /// `oldest_wait_us` is how long the oldest request of the batch queued;
   /// `slack_ref_us` is the wait considered fully saturated (the deadline
-  /// when one is configured, else a multiple of max_wait_us).
+  /// when one is configured, else a fixed 4 ms — see PredictionService).
   void Update(size_t queue_depth, size_t queue_capacity,
               double oldest_wait_us, double slack_ref_us);
 

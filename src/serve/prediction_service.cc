@@ -25,6 +25,10 @@ double ElapsedUs(std::chrono::steady_clock::time_point from,
 /// answer) and the request is marked degraded.
 constexpr int kMaxEncodeAttempts = 3;
 
+/// The elastic gauge's saturation reference for queue wait when no request
+/// deadline is configured: the 4 ms its watermarks were tuned against.
+constexpr double kElasticSlackRefUs = 4000.0;
+
 core::ForwardMode ResolveForwardMode(ServiceForwardMode mode) {
   switch (mode) {
     case ServiceForwardMode::kGraph:
@@ -49,6 +53,11 @@ PredictionService::PredictionService(core::AdaptableModel& model,
       gauge_(adapt_config_),
       forward_mode_(ResolveForwardMode(config.forward)),
       planner_(model) {
+  core::TrajectoryEncoder* encoder = model_.trajectory_encoder();
+  if (forward_mode_ == core::ForwardMode::kGraph && encoder != nullptr &&
+      encoder->can_carry()) {
+    carry_encoder_ = encoder;
+  }
   ADAMOVE_CHECK_GT(config_.workers, 0);
   ADAMOVE_CHECK_GT(config_.max_batch, 0);
   ADAMOVE_CHECK_GT(config_.queue_capacity, 0u);
@@ -184,18 +193,10 @@ void PredictionService::WorkerLoop(int worker_index) {
       common::MutexLock lock(mu_);
       while (!stop_ && queue_.empty()) not_empty_.Wait(mu_);
       if (queue_.empty()) return;  // stop_ set and fully drained
-      // Dynamic flush: grow the batch until max_batch requests are queued
-      // or the *oldest* request's deadline passes — whichever comes first.
-      const auto deadline =
-          queue_.front().enqueue +
-          std::chrono::microseconds(config_.max_wait_us);
-      while (static_cast<int>(queue_.size()) < config_.max_batch && !stop_) {
-        if (not_empty_.WaitUntil(mu_, deadline) == std::cv_status::timeout) {
-          break;
-        }
-        if (queue_.empty()) break;  // another worker flushed it first
-      }
-      if (queue_.empty()) continue;
+      // Work-conserving formation: take whatever is queued, up to
+      // max_batch, and never wait for more. Holding a batch open only
+      // delays a lone request; under load the queue is already non-empty,
+      // so batches still form and the phase-2 score sweep stays batched.
       // The pressure signal is the depth at batch formation — including the
       // batch being taken. Measuring only the leftover would read a full
       // queue as calm whenever max_batch can swallow it in one take (small
@@ -230,11 +231,10 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
   if (adapt_config_.mode == AdaptMode::kElastic) {
     const double oldest_wait_us = ElapsedUs(batch.front().enqueue, picked_up);
     // Saturation reference for the wait ratio: the request deadline when one
-    // is configured, else several flush windows' worth of queueing.
-    const double slack_ref_us =
-        config_.deadline_us > 0
-            ? static_cast<double>(config_.deadline_us)
-            : 4.0 * static_cast<double>(config_.max_wait_us);
+    // is configured, else a fixed 4 ms of queueing.
+    const double slack_ref_us = config_.deadline_us > 0
+                                    ? static_cast<double>(config_.deadline_us)
+                                    : kElasticSlackRefUs;
     gauge_.Update(queue_depth, config_.queue_capacity, oldest_wait_us,
                   slack_ref_us);
     const bool forced = common::FaultPoint("serve.adapt_schedule");
@@ -258,10 +258,19 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
   // degradation ladder when the execute stage fails (`serve.plan_execute`
   // fault, or no plan for this encoder family): the graph walk is
   // bit-identical, so the request stays kOk and only plan_fallbacks ticks.
+  //
+  // Graph mode with a recurrent encoder resumes from the user's encoder
+  // carry (DESIGN.md §17): a window that strictly extends the user's last
+  // one steps only its new points. The fresh carry owns the full rows the
+  // view points at and is published to the store in the adapt stage.
   std::vector<nn::Tensor> reps(batch.size());
   std::vector<SessionStore::RepsView> views(batch.size());
+  std::vector<std::shared_ptr<const core::EncoderCarry>> carries(
+      batch.size());
   std::vector<char> encode_degraded(batch.size(), 0);
   uint64_t plan_fallbacks = 0;
+  uint64_t window_steps = 0;
+  uint64_t carried_steps = 0;
   if (forward_mode_ == core::ForwardMode::kPlan &&
       scratch.plan.size() < batch.size()) {
     scratch.plan.resize(batch.size());
@@ -294,10 +303,24 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
         }
         views[i] = SessionStore::RepsView(reps[i]);
       }
+    } else if (carry_encoder_ != nullptr) {
+      const data::Sample& sample = batch[i].sample;
+      // A frozen-only request reads no per-user state, the carry included.
+      const std::shared_ptr<const core::EncoderCarry> prev =
+          batch[i].frozen_only ? nullptr : store_.Carry(sample.user);
+      auto next = std::make_shared<core::EncoderCarry>();
+      const size_t carried =
+          carry_encoder_->EncodeCarried(sample.recent, prev.get(), next.get());
+      carried_steps += carried;
+      views[i] = SessionStore::RepsView(
+          next->reps.data(), static_cast<int64_t>(sample.recent.size()),
+          carry_encoder_->hidden_size());
+      carries[i] = std::move(next);
     } else {
       reps[i] = model_.PrefixRepresentations(batch[i].sample);
       views[i] = SessionStore::RepsView(reps[i]);
     }
+    window_steps += batch[i].sample.recent.size();
     out[i].encode_us = timer.ElapsedMs() * 1000.0;
     out[i].queue_us = ElapsedUs(batch[i].enqueue, picked_up);
   }
@@ -331,7 +354,8 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
       SessionStore::BatchRequest request;
       request.sample = &batch[i].sample;
       request.reps = views[i];
-      store_batch.push_back(request);
+      request.carry = carries[i];
+      store_batch.push_back(std::move(request));
     }
   }
   BatchAdaptStats adapt_stats;
@@ -387,6 +411,8 @@ void PredictionService::ProcessBatch(std::vector<Request>& batch,
     stats.stats.completed += batch.size();
     stats.stats.batches += 1;
     stats.stats.plan_fallbacks += plan_fallbacks;
+    stats.stats.encoded_steps += window_steps - carried_steps;
+    stats.stats.carried_steps += carried_steps;
     stats.stats.deferred_ingests += adapt_stats.deferred_ingests;
     stats.stats.coalesced_ingests += adapt_stats.coalesced_ingests;
     stats.stats.lazy_rebuilds += adapt_stats.lazy_rebuilds;
@@ -425,6 +451,8 @@ ServiceStats PredictionService::Stats() const {
     merged.warm_start_fallbacks += ws->stats.warm_start_fallbacks;
     merged.timeouts += ws->stats.timeouts;
     merged.plan_fallbacks += ws->stats.plan_fallbacks;
+    merged.encoded_steps += ws->stats.encoded_steps;
+    merged.carried_steps += ws->stats.carried_steps;
     merged.stale_adapt_requests += ws->stats.stale_adapt_requests;
     merged.deferred_ingests += ws->stats.deferred_ingests;
     merged.coalesced_ingests += ws->stats.coalesced_ingests;

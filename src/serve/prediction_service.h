@@ -65,11 +65,9 @@ enum class ServiceForwardMode : uint8_t {
 struct ServiceConfig {
   /// Serving worker threads; each forms and executes whole micro-batches.
   int workers = 4;
-  /// Flush a micro-batch at this many requests…
+  /// Largest micro-batch. Formation is work-conserving: a worker takes
+  /// whatever is queued, up to this many, and never waits for more.
   int max_batch = 8;
-  /// …or when the oldest queued request has waited this long, whichever
-  /// comes first (the classic size-or-deadline policy).
-  int64_t max_wait_us = 1000;
   /// Bounded admission queue; `overflow` picks what happens at capacity.
   size_t queue_capacity = 1024;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
@@ -139,6 +137,11 @@ struct ServiceStats {
   /// compiler bug made visible — the requests themselves stay correct
   /// (and kOk), they just are not allocation-free.
   uint64_t plan_verify_rejects = 0;
+  /// Encoder steps the workers ran, and steps they reused from a user's
+  /// encoder carry instead (DESIGN.md §17). Their sum is the total window
+  /// length served; carried / (carried + encoded) is the carry's saving.
+  uint64_t encoded_steps = 0;
+  uint64_t carried_steps = 0;
   /// Elastic-adaptation ledger (DESIGN.md §16; all zero on an inline-mode
   /// service): requests answered from deferred (stale) state, transitions
   /// buffered instead of ingested, buffered deltas dropped by exact
@@ -172,15 +175,20 @@ struct ServiceStats {
 };
 
 /// The online request path: a bounded queue feeding worker threads that
-/// flush dynamic micro-batches (on max_batch or max_wait_us). A batch runs
-/// the encoder forwards back-to-back — one cache-warm pass over the model
-/// weights instead of interleaving them with per-request adapter work —
-/// then the PTTA adjustment for the whole batch goes through
-/// SessionStore::BatchObserveAndPredictEncoded: per-user knowledge-base
-/// updates still run in request order under their shard locks (per-user
-/// state semantics are preserved exactly), but the adjusted-column rebuilds
-/// are collected into one flat pattern arena and scored in a single
-/// lock-free vectorized sweep.
+/// form work-conserving micro-batches — a waking worker takes whatever is
+/// queued, up to max_batch, and never holds a batch open for more, so an
+/// idle service answers a lone request at once and batches form by
+/// themselves under load. A batch runs the encoder forwards back-to-back —
+/// one cache-warm pass over the model weights instead of interleaving them
+/// with per-request adapter work. In graph mode a recurrent encoder
+/// resumes from the user's encoder carry (DESIGN.md §17) and steps only the
+/// points the window added since the user's last request; the rows are
+/// bit-identical to a full encode. Then the PTTA adjustment for the whole
+/// batch goes through SessionStore::BatchObserveAndPredictEncoded:
+/// per-user knowledge-base updates still run in request order under their
+/// shard locks (per-user state semantics are preserved exactly), but the
+/// adjusted-column rebuilds are collected into one flat pattern arena and
+/// scored in a single lock-free vectorized sweep.
 ///
 /// Failure semantics (DESIGN.md §9): the service never crashes on an armed
 /// fault and never fabricates scores. Faults on the adapted path (session
@@ -261,13 +269,17 @@ class PredictionService {
   /// concurrently with serving (workers guard their stats with a mutex).
   ServiceStats Stats() const;
 
-  /// Drops every cached forward plan — the checkpoint hot-swap hook: call
-  /// after overwriting model weights so the next request re-traces against
-  /// the new storage. (Plans are also revalidated per use against a
-  /// weight-pointer fingerprint, so a swap that *reallocates* tensor
-  /// storage is caught even without this call; an in-place overwrite keeps
-  /// plans valid and needs neither.)
-  void InvalidatePlans() { planner_.InvalidateAll(); }
+  /// The checkpoint hot-swap hook: call after overwriting model weights,
+  /// with no request in flight. It drops every cached forward plan, so the
+  /// next request re-traces against the new storage, and every user's
+  /// encoder carry, whose activations belong to the old weights. (Plans are
+  /// also revalidated per use against a weight-pointer fingerprint and
+  /// survive an in-place overwrite; carries do not, so an in-place
+  /// overwrite still needs this call.)
+  void InvalidatePlans() {
+    planner_.InvalidateAll();
+    store_.InvalidateCarries();
+  }
 
   /// The encode path this service resolved at construction.
   core::ForwardMode forward_mode() const { return forward_mode_; }
@@ -333,6 +345,10 @@ class PredictionService {
   /// Service-owned plan cache, shared by all workers (thread-safe; keyed by
   /// sequence length, revalidated against the live weights per use).
   core::ForwardPlanner planner_;
+  /// The encoder graph-mode workers resume from users' carries; nullptr
+  /// (every encode full) in plan mode, for the transformer, and for models
+  /// without a TrajectoryEncoder.
+  core::TrajectoryEncoder* carry_encoder_ = nullptr;
 
   common::Mutex mu_;
   common::CondVar not_empty_;

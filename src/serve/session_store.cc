@@ -46,6 +46,7 @@ void SessionStore::TouchLocked(Shard& shard, int64_t user) {
     const int64_t victim = shard.lru.back();
     shard.lru.pop_back();
     shard.lru_pos.erase(victim);
+    shard.carries.erase(victim);
     // With a cold tier the victim is dehydrated, not lost: its complete
     // state moves to the compact representation and comes back via
     // EnsureResidentLocked on the next touch.
@@ -74,7 +75,7 @@ bool SessionStore::EnsureResidentLocked(Shard& shard, int64_t user) {
   return true;
 }
 
-void SessionStore::Observe(int64_t user, const std::vector<float>& pattern,
+void SessionStore::Observe(int64_t user, std::vector<float> pattern,
                            int64_t next_location, int64_t timestamp) {
   Shard& shard = *shards_[static_cast<size_t>(ShardOf(user))];
   common::MutexLock lock(shard.mu);
@@ -84,13 +85,8 @@ void SessionStore::Observe(int64_t user, const std::vector<float>& pattern,
   // pin is "stale or frozen, never forked").
   if (!EnsureResidentLocked(shard, user)) return;
   TouchLocked(shard, user);
-  if (config_.canonicalize_patterns) {
-    std::vector<float> canonical(pattern);
-    common::QfloatCanonicalize(&canonical);
-    shard.adapter.Observe(user, canonical, next_location, timestamp);
-    return;
-  }
-  shard.adapter.Observe(user, pattern, next_location, timestamp);
+  if (config_.canonicalize_patterns) common::QfloatCanonicalize(&pattern);
+  shard.adapter.Observe(user, std::move(pattern), next_location, timestamp);
 }
 
 std::vector<float> SessionStore::Predict(const core::AdaptableModel& model,
@@ -206,6 +202,9 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
       continue;
     }
     TouchLocked(shard, sample.user);
+    if (requests[r].carry != nullptr) {
+      shard.carries[sample.user] = requests[r].carry;
+    }
     // A `serve.ptta_generate` fault drops this request's transitions in
     // every exec mode (nothing is ingested *or* buffered) — fault precedence
     // over scheduling, so deferral never smuggles a faulted request's
@@ -281,7 +280,7 @@ std::vector<std::vector<float>> SessionStore::BatchObserveAndPredictEncoded(
           common::QfloatCanonicalize(&pattern);
         }
         shard.adapter.Observe(
-            sample.user, pattern,
+            sample.user, std::move(pattern),
             sample.recent[static_cast<size_t>(k + 1)].location,
             sample.recent[static_cast<size_t>(k + 1)].timestamp);
       }
@@ -357,6 +356,7 @@ void SessionStore::Forget(int64_t user) {
     core::OnlineAdapter::UserSnapshot discard;
     config_.cold_tier->Take(user, &discard);
   }
+  shard.carries.erase(user);
   auto it = shard.lru_pos.find(user);
   if (it == shard.lru_pos.end()) return;
   shard.lru.erase(it->second);
@@ -368,6 +368,7 @@ bool SessionStore::ExtractUser(int64_t user,
                                core::OnlineAdapter::UserSnapshot* out) {
   Shard& shard = *shards_[static_cast<size_t>(ShardOf(user))];
   common::MutexLock lock(shard.mu);
+  shard.carries.erase(user);
   if (shard.adapter.HasUser(user)) {
     *out = shard.adapter.ExportUser(user);
     auto it = shard.lru_pos.find(user);
@@ -403,6 +404,7 @@ bool SessionStore::EvictToCold(int64_t user) {
     shard.lru.erase(it->second);
     shard.lru_pos.erase(it);
   }
+  shard.carries.erase(user);
   shard.adapter.Forget(user);
   return true;
 }
@@ -423,8 +425,24 @@ size_t SessionStore::ResidentBytes() const {
   for (const auto& shard : shards_) {
     common::MutexLock lock(shard->mu);
     bytes += shard->adapter.ResidentBytes();
+    for (const auto& [user, carry] : shard->carries) bytes += carry->Bytes();
   }
   return bytes;
+}
+
+std::shared_ptr<const core::EncoderCarry> SessionStore::Carry(
+    int64_t user) const {
+  const Shard& shard = *shards_[static_cast<size_t>(ShardOf(user))];
+  common::MutexLock lock(shard.mu);
+  auto it = shard.carries.find(user);
+  return it == shard.carries.end() ? nullptr : it->second;
+}
+
+void SessionStore::InvalidateCarries() {
+  for (const auto& shard : shards_) {
+    common::MutexLock lock(shard->mu);
+    shard->carries.clear();
+  }
 }
 
 size_t SessionStore::UserCount() const {

@@ -12,6 +12,7 @@
 #include "common/durable_io.h"
 #include "common/mutex.h"
 #include "core/config.h"
+#include "core/encoder.h"
 #include "core/model.h"
 #include "core/online_adapter.h"
 
@@ -159,7 +160,7 @@ class SessionStore {
   explicit SessionStore(const SessionStoreConfig& config);
 
   /// Ingests one observed transition (shard-locked; touches LRU).
-  void Observe(int64_t user, const std::vector<float>& pattern,
+  void Observe(int64_t user, std::vector<float> pattern,
                int64_t next_location, int64_t timestamp);
 
   /// Adapted scores from the user's resident knowledge base (shard-locked;
@@ -204,10 +205,14 @@ class SessionStore {
   };
 
   /// One request of an adapt micro-batch: the sample and its pre-computed
-  /// prefix representations, both borrowed (must outlive the call).
+  /// prefix representations, both borrowed (must outlive the call). When
+  /// `carry` is set (the encode that produced `reps`), it becomes the
+  /// user's encoder carry once phase 1 has touched the user under the shard
+  /// lock; a request that degrades before that publishes nothing.
   struct BatchRequest {
     const data::Sample* sample = nullptr;
     RepsView reps;
+    std::shared_ptr<const core::EncoderCarry> carry = nullptr;
   };
 
   /// ObserveAndPredictEncoded over a micro-batch, in two phases. Phase 1
@@ -273,6 +278,19 @@ class SessionStore {
   std::vector<float> PredictFrozen(const core::AdaptableModel& model,
                                    RepsView reps) const;
 
+  /// The user's encoder carry (DESIGN.md §17), or nullptr. A cache beside
+  /// the user, not state: only hot-resident users hold one; Forget, LRU
+  /// eviction, EvictToCold and ExtractUser drop it; Snapshot, Restore,
+  /// ResidentUsers, UserCount and PatternCount never see it; ResidentBytes
+  /// counts it. A published carry is immutable, so a reader needs no lock
+  /// once it holds the pointer.
+  std::shared_ptr<const core::EncoderCarry> Carry(int64_t user) const;
+
+  /// Drops every user's encoder carry: a carry holds activations of the
+  /// weights that produced it, so an in-place weight overwrite makes it
+  /// stale (PredictionService::InvalidatePlans calls this).
+  void InvalidateCarries();
+
   /// Drops one user's state wherever it lives — hot tier and cold tier
   /// (no-op if absent from both).
   void Forget(int64_t user);
@@ -296,7 +314,7 @@ class SessionStore {
   std::vector<int64_t> ResidentUsers() const;
 
   /// Dense footprint of all hot-resident state, summed over shards
-  /// (core::OnlineAdapter::ResidentBytes accounting).
+  /// (core::OnlineAdapter::ResidentBytes accounting plus encoder carries).
   size_t ResidentBytes() const;
 
   /// Persists every resident user's knowledge base to `path` via
@@ -371,6 +389,9 @@ class SessionStore {
     std::list<int64_t> lru ADAMOVE_GUARDED_BY(mu);
     std::unordered_map<int64_t, std::list<int64_t>::iterator> lru_pos
         ADAMOVE_GUARDED_BY(mu);
+    /// Encoder carries of LRU-resident users (see Carry()).
+    std::unordered_map<int64_t, std::shared_ptr<const core::EncoderCarry>>
+        carries ADAMOVE_GUARDED_BY(mu);
 
     Shard(const core::PttaConfig& ptta, int64_t max_age_seconds)
         : adapter(ptta, max_age_seconds) {}

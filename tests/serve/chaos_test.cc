@@ -16,6 +16,7 @@
 #include "serve/session_store.h"
 #include "shard/compact_store.h"
 #include "shard/sharded_service.h"
+#include "tests/serve/worker_latch.h"
 
 namespace adamove::serve {
 namespace {
@@ -97,7 +98,6 @@ TEST_F(ChaosTest, SurvivesAllFaultPointsAtTenPercentUnderLoad) {
     ServiceConfig config;
     config.workers = 4;
     config.max_batch = 8;
-    config.max_wait_us = 500;
     config.queue_capacity = 64;
     PredictionService service(model, store, config);
 
@@ -295,17 +295,23 @@ TEST_F(ChaosTest, ShedPolicyRejectsOverflowAndAccountsForIt) {
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 1;
-  // As in the TrySubmit test: a long flush window holds the queued requests
-  // so the 2-slot queue is observably full for the remaining arrivals.
   config.max_batch = 8;
-  config.max_wait_us = 200 * 1000;
   config.queue_capacity = 2;
   config.overflow = OverflowPolicy::kShed;
   PredictionService service(model, store, config);
 
+  // As in the TrySubmit test: the first request's on_complete holds the
+  // only worker, so the 2-slot queue is observably full for the remaining
+  // arrivals.
   const std::vector<data::Sample> stream = MakeStream(1, 8);
+  WorkerLatch latch;
   std::vector<std::future<Prediction>> futures;
-  for (const auto& sample : stream) futures.push_back(service.Submit(sample));
+  futures.push_back(service.Submit(stream[0], latch.Hook()));
+  latch.WaitUntilHeld();
+  for (size_t i = 1; i < stream.size(); ++i) {
+    futures.push_back(service.Submit(stream[i]));
+  }
+  latch.Release();
   size_t delivered = 0;
   size_t shed = 0;
   for (auto& f : futures) {
@@ -544,7 +550,6 @@ TEST_F(ChaosTest, PlanFaultEnduresTenThousandRequestsWithExactAccounting) {
   ServiceConfig config;
   config.workers = 4;
   config.max_batch = 8;
-  config.max_wait_us = 500;
   config.queue_capacity = 64;
   config.forward = ServiceForwardMode::kPlan;
   PredictionService service(model, store, config);

@@ -356,7 +356,6 @@ TEST_F(OverloadChaosTest, OpenLoopBurstsKeepExactAccountingUnderChaos) {
     ServiceConfig config;
     config.workers = 2;
     config.max_batch = 8;
-    config.max_wait_us = 500;
     config.queue_capacity = 32;
     config.adapt.mode = AdaptMode::kElastic;
     // An aggressive band so the burst genuinely exercises pressure-driven

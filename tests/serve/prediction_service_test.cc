@@ -10,6 +10,7 @@
 #include "core/lightmob.h"
 #include "core/online_adapter.h"
 #include "serve/load_gen.h"
+#include "tests/serve/worker_latch.h"
 
 namespace adamove::serve {
 namespace {
@@ -85,7 +86,6 @@ TEST(PredictionServiceTest, MicroBatchingServesAllRequestsConcurrently) {
   ServiceConfig config;
   config.workers = 4;
   config.max_batch = 8;
-  config.max_wait_us = 500;
   config.queue_capacity = 64;  // small: exercises Submit backpressure
   PredictionService service(model, store, config);
 
@@ -120,18 +120,21 @@ TEST(PredictionServiceTest, TrySubmitRejectsWhenFullInsteadOfBlocking) {
   SessionStore store{SessionStoreConfig{}};
   ServiceConfig config;
   config.workers = 1;
-  // max_batch > capacity + a long flush deadline: the worker holds the
-  // 2 queued requests for the full 200 ms window, so the queue is
-  // observably full while the remaining arrivals pour in.
   config.max_batch = 8;
-  config.max_wait_us = 200 * 1000;
   config.queue_capacity = 2;
   PredictionService service(model, store, config);
   const std::vector<data::Sample> stream = MakeStream(1, 8);
 
+  // The first request's on_complete holds the only worker, so the queue is
+  // observably full while the remaining arrivals pour in.
+  WorkerLatch latch;
   std::vector<std::future<Prediction>> accepted;
+  accepted.emplace_back();
+  ASSERT_TRUE(service.TrySubmit(stream[0], &accepted[0], latch.Hook()));
+  latch.WaitUntilHeld();
   int rejected = 0;
-  for (const auto& sample : stream) {
+  for (size_t i = 1; i < stream.size(); ++i) {
+    const data::Sample& sample = stream[i];
     std::future<Prediction> f;
     if (service.TrySubmit(sample, &f)) {
       accepted.push_back(std::move(f));
@@ -139,9 +142,40 @@ TEST(PredictionServiceTest, TrySubmitRejectsWhenFullInsteadOfBlocking) {
       ++rejected;
     }
   }
+  latch.Release();
   EXPECT_GT(rejected, 0);  // capacity 2 cannot absorb 8 instant arrivals
   for (auto& f : accepted) EXPECT_EQ(f.get().scores.size(), 12u);
   service.Shutdown();
+}
+
+/// Work-conserving formation: a worker that wakes takes exactly what is
+/// queued (up to max_batch) and never waits for the batch to fill. Holding
+/// the single worker inside the first request's on_complete lets k requests
+/// queue up deterministically; released, the worker serves all k as one
+/// batch — the second and last.
+TEST(PredictionServiceTest, WakingWorkerTakesExactlyWhatIsQueued) {
+  core::LightMob model(SmallConfig());
+  const std::vector<data::Sample> stream = MakeStream(1, 9);
+  for (const size_t k : {size_t{1}, size_t{5}, size_t{8}}) {
+    SessionStore store{SessionStoreConfig{}};
+    ServiceConfig config;
+    config.workers = 1;
+    config.max_batch = 8;
+    PredictionService service(model, store, config);
+    WorkerLatch latch;
+    std::vector<std::future<Prediction>> futures;
+    futures.push_back(service.Submit(stream[0], latch.Hook()));
+    latch.WaitUntilHeld();
+    for (size_t i = 1; i <= k; ++i) {
+      futures.push_back(service.Submit(stream[i]));
+    }
+    latch.Release();
+    for (auto& f : futures) EXPECT_EQ(f.get().scores.size(), 12u);
+    service.Shutdown();
+    const ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.batches, 2u) << "k " << k;
+    EXPECT_EQ(stats.completed, k + 1) << "k " << k;
+  }
 }
 
 TEST(PredictionServiceTest, ShutdownDrainsOutstandingRequests) {
