@@ -19,7 +19,7 @@
 #   3. ASan+UBSan: `fault` + `persist` + `shard` + `plan` + `verify` +
 #              `overload` labels under -DADAMOVE_SANITIZE=address (memory
 #              errors on the fault-injection, degradation, checkpoint-parsing,
-#              compact codec, plan-arena and deferred-adaptation paths), then
+#              per-user codec, plan-arena and deferred-adaptation paths), then
 #              `nn` + `backend` + `fault` + `persist` + `shard` + `plan` +
 #              `verify` + `overload` under -DADAMOVE_SANITIZE=undefined with
 #              -fno-sanitize-recover=all (any UB aborts the test). The

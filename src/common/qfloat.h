@@ -29,7 +29,8 @@ namespace adamove::common {
 ///     promise bit-identical Predict outputs across eviction cycles.
 ///
 /// Vectors containing non-finite values (or empty ones) are not quantizable;
-/// callers fall back to raw f32 storage (CompactState's per-entry mode byte).
+/// callers fall back to raw f32 storage (the per-pattern mode byte of
+/// core::OnlineAdapter::EncodeUser).
 struct QfloatBlock {
   /// Shared exponent: scale = 2^exponent.
   int exponent = 0;

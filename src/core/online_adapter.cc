@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/parallel_for.h"
+#include "common/qfloat.h"
 #include "core/ptta.h"
 #include "nn/kernels.h"
 
@@ -174,11 +175,6 @@ size_t OnlineAdapter::CollectCachedJobs(int64_t user,
   return cache.jobs.size();
 }
 
-bool OnlineAdapter::HasRebuildCache(int64_t user) const {
-  auto it = users_.find(user);
-  return it != users_.end() && !it->second.cache.jobs.empty();
-}
-
 void OnlineAdapter::PredictFrozenInto(const AdaptableModel& model,
                                       const float* query, int64_t hidden,
                                       std::vector<float>* scores) {
@@ -196,19 +192,6 @@ std::vector<float> OnlineAdapter::PredictFrozen(
   PredictFrozenInto(model, query.data(),
                     static_cast<int64_t>(query.size()), &scores);
   return scores;
-}
-
-size_t OnlineAdapter::CollectRebuildJobs(
-    int64_t user, const std::vector<float>& query, int64_t query_time,
-    common::AlignedBuffer<float>* arena,
-    std::vector<RebuildJob>* jobs) const {
-  // Ranking scratch hoisted out of the per-location loop: one allocation
-  // per collect instead of one per adapted location. (The zero-alloc path
-  // passes a reused scratch through the pointer overload instead.)
-  std::vector<std::pair<float, const Entry*>> fresh;
-  return CollectRebuildJobs(user, query.data(),
-                            static_cast<int64_t>(query.size()), query_time,
-                            arena, jobs, &fresh);
 }
 
 size_t OnlineAdapter::CollectRebuildJobs(
@@ -277,17 +260,6 @@ void OnlineAdapter::ScoreCollectedJobsInto(
         acc / (1.0 + static_cast<double>(job.keep)));
   }
   AddBias(classifier, scores);
-}
-
-std::vector<float> OnlineAdapter::ScoreCollectedJobs(
-    const AdaptableModel& model, const std::vector<float>& query,
-    const std::vector<RebuildJob>& jobs,
-    const common::AlignedBuffer<float>& arena) {
-  std::vector<float> scores;
-  ScoreCollectedJobsInto(model, query.data(),
-                         static_cast<int64_t>(query.size()), jobs, arena,
-                         &scores);
-  return scores;
 }
 
 void OnlineAdapter::PredictInto(const AdaptableModel& model, int64_t user,
@@ -401,29 +373,159 @@ void OnlineAdapter::Adopt(UserSnapshot&& snap) {
   users_[snap.user] = std::move(state);
 }
 
-void OnlineAdapter::EncodeUser(const UserSnapshot& snap, std::string* out) {
-  common::AppendU64(out, static_cast<uint64_t>(snap.user));
-  common::AppendU32(out, static_cast<uint32_t>(snap.locations.size()));
-  for (const auto& [location, entries] : snap.locations) {
-    common::AppendU64(out, static_cast<uint64_t>(location));
-    common::AppendU32(out, static_cast<uint32_t>(entries.size()));
-    for (const Entry& entry : entries) {
-      common::AppendU64(out, static_cast<uint64_t>(entry.timestamp));
-      common::AppendU32(out, static_cast<uint32_t>(entry.pattern.size()));
-      common::AppendF32Array(out, entry.pattern.data(), entry.pattern.size());
+namespace {
+
+constexpr uint8_t kModeRawF32 = 0;
+constexpr uint8_t kModeQ8 = 1;
+/// Raw f32 with an explicit per-entry length, for patterns whose size
+/// differs from the header dimension (the store accepts any size).
+constexpr uint8_t kModeRawVar = 2;
+
+/// Dimension cap mirroring the durable layer's frame-size discipline: no
+/// legitimate encoder hidden state is near this, so a larger on-wire value
+/// is corruption, rejected before any allocation.
+constexpr uint64_t kMaxPatternDim = 1u << 20;
+
+/// True iff `block` decodes back to exactly `x` — the losslessness gate for
+/// q8 storage.
+bool Q8RoundTripsExactly(const std::vector<float>& x,
+                         const common::QfloatBlock& block) {
+  const float scale = std::ldexp(1.0f, block.exponent);
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (static_cast<float>(block.q[i]) * scale != x[i]) return false;
+  }
+  return true;
+}
+
+/// Appends one pattern as mode byte + payload (shared by stored entries and
+/// pending deltas, so both sections keep the same lossless-quantize rules)
+/// and counts it in `stats`.
+void AppendPattern(const std::vector<float>& pattern, uint64_t dim,
+                   common::QfloatBlock* block, std::string* out,
+                   OnlineAdapter::EncodeStats* stats) {
+  const size_t size = pattern.size();
+  if (stats != nullptr) stats->patterns += 1;
+  // q8 payloads are implicitly `dim` bytes, so only uniform-size patterns
+  // qualify; off-dimension patterns fall through to the explicit-length raw
+  // mode and the bytes stay decodable.
+  if (size == dim && common::QfloatEncodable(pattern.data(), size)) {
+    common::QfloatEncode(pattern.data(), size, block);
+    if (Q8RoundTripsExactly(pattern, *block)) {
+      out->push_back(static_cast<char>(kModeQ8));
+      common::AppendZigzag(out, block->exponent);
+      out->append(reinterpret_cast<const char*>(block->q.data()),
+                  block->q.size());
+      return;
     }
   }
-  // Pending-delta section, appended only when non-empty: a clean user's
-  // frame is byte-identical to the pre-deferral format, so existing golden
-  // snapshots (and old readers of clean users) are untouched. Decoders
-  // treat end-of-frame after the locations as "no pending".
+  if (stats != nullptr) stats->raw_patterns += 1;
+  if (size == dim) {
+    out->push_back(static_cast<char>(kModeRawF32));
+  } else {
+    out->push_back(static_cast<char>(kModeRawVar));
+    common::AppendVarint(out, size);
+  }
+  common::AppendF32Array(out, pattern.data(), size);
+}
+
+/// Reads one mode byte + pattern payload (the inverse of AppendPattern).
+common::IoResult ReadPattern(common::WireReader* reader, uint64_t dim,
+                             std::vector<float>* pattern) {
+  std::string_view mode_byte;
+  if (!reader->ReadBytes(1, &mode_byte)) {
+    return common::IoResult::Fail("user frame: truncated pattern mode");
+  }
+  const auto mode = static_cast<uint8_t>(mode_byte[0]);
+  if (mode == kModeRawF32) {
+    if (!reader->ReadF32Array(dim, pattern)) {
+      return common::IoResult::Fail(
+          "user frame: raw pattern larger than the remaining bytes");
+    }
+  } else if (mode == kModeQ8) {
+    int64_t exponent = 0;
+    std::string_view q_bytes;
+    if (!reader->ReadZigzag(&exponent) || !reader->ReadBytes(dim, &q_bytes)) {
+      return common::IoResult::Fail(
+          "user frame: q8 pattern larger than the remaining bytes");
+    }
+    // Float exponents live in a narrow band; anything else is corrupt (and
+    // would push ldexp into inf/0, breaking the exactness contract).
+    if (exponent < -160 || exponent > 140) {
+      return common::IoResult::Fail("user frame: q8 exponent " +
+                                    std::to_string(exponent) +
+                                    " out of range");
+    }
+    const float scale = std::ldexp(1.0f, static_cast<int>(exponent));
+    pattern->resize(dim);
+    for (uint64_t i = 0; i < dim; ++i) {
+      (*pattern)[i] =
+          static_cast<float>(static_cast<int8_t>(q_bytes[i])) * scale;
+    }
+  } else if (mode == kModeRawVar) {
+    uint64_t size = 0;
+    if (!reader->ReadVarint(&size)) {
+      return common::IoResult::Fail("user frame: truncated pattern length");
+    }
+    if (size > kMaxPatternDim) {
+      return common::IoResult::Fail("user frame: pattern length " +
+                                    std::to_string(size) +
+                                    " exceeds the cap");
+    }
+    if (!reader->ReadF32Array(size, pattern)) {
+      return common::IoResult::Fail(
+          "user frame: raw pattern larger than the remaining bytes");
+    }
+  } else {
+    return common::IoResult::Fail("user frame: unknown pattern mode " +
+                                  std::to_string(mode));
+  }
+  return common::IoResult::Ok();
+}
+
+}  // namespace
+
+void OnlineAdapter::EncodeUser(const UserSnapshot& snap, std::string* out,
+                               EncodeStats* stats) {
+  uint64_t dim = 0;
+  for (const auto& [location, entries] : snap.locations) {
+    if (!entries.empty()) {
+      dim = entries.front().pattern.size();
+      break;
+    }
+  }
+  // A pending-only user (dirty, nothing drained yet) still has a natural
+  // dimension; taking it keeps q8 available for the buffered deltas.
+  if (dim == 0 && !snap.pending.empty()) {
+    dim = snap.pending.front().pattern.size();
+  }
+  common::AppendZigzag(out, snap.user);
+  common::AppendVarint(out, dim);
+  common::AppendVarint(out, snap.locations.size());
+  int64_t prev_location = 0;
+  common::QfloatBlock block;
+  for (const auto& [location, entries] : snap.locations) {
+    common::AppendZigzag(out, location - prev_location);
+    prev_location = location;
+    common::AppendVarint(out, entries.size());
+    int64_t prev_timestamp = 0;
+    for (const Entry& entry : entries) {
+      common::AppendZigzag(out, entry.timestamp - prev_timestamp);
+      prev_timestamp = entry.timestamp;
+      AppendPattern(entry.pattern, dim, &block, out, stats);
+    }
+    if (stats != nullptr) stats->locations += 1;
+  }
+  // Pending section, present only for dirty users: a clean user's bytes are
+  // unchanged by deferral, and decoders treat end-of-bytes after the
+  // locations as "no pending".
   if (snap.pending.empty()) return;
-  common::AppendU32(out, static_cast<uint32_t>(snap.pending.size()));
+  common::AppendVarint(out, snap.pending.size());
+  int64_t prev_timestamp = 0;
   for (const PendingDelta& delta : snap.pending) {
-    common::AppendU64(out, static_cast<uint64_t>(delta.timestamp));
-    common::AppendU64(out, static_cast<uint64_t>(delta.next_location));
-    common::AppendU32(out, static_cast<uint32_t>(delta.pattern.size()));
-    common::AppendF32Array(out, delta.pattern.data(), delta.pattern.size());
+    common::AppendZigzag(out, delta.timestamp - prev_timestamp);
+    prev_timestamp = delta.timestamp;
+    common::AppendZigzag(out, delta.next_location);
+    AppendPattern(delta.pattern, dim, &block, out, stats);
   }
 }
 
@@ -432,90 +534,100 @@ common::IoResult OnlineAdapter::DecodeUser(std::string_view bytes,
   out->locations.clear();
   out->pending.clear();
   common::WireReader reader(bytes);
-  uint64_t user = 0;
-  if (!reader.ReadU64(&user)) {
+  if (!reader.ReadZigzag(&out->user)) {
     return common::IoResult::Fail("user frame: truncated user id");
   }
-  out->user = static_cast<int64_t>(user);
-  uint32_t location_count = 0;
-  if (!reader.ReadU32(&location_count)) {
+  uint64_t dim = 0;
+  if (!reader.ReadVarint(&dim)) {
+    return common::IoResult::Fail("user frame: truncated pattern dim");
+  }
+  if (dim > kMaxPatternDim) {
+    return common::IoResult::Fail("user frame: pattern dim " +
+                                  std::to_string(dim) + " exceeds the cap");
+  }
+  uint64_t location_count = 0;
+  if (!reader.ReadVarint(&location_count)) {
     return common::IoResult::Fail("user frame: truncated location count");
   }
-  // A location record is at least id + entry count (12 bytes): a count
-  // beyond remaining/12 is provably corrupt — reject before reserving.
-  if (location_count > reader.remaining() / 12) {
+  // A location record is at least 3 bytes (delta, count, one entry byte);
+  // a count beyond remaining/3 is provably corrupt — reject pre-reserve.
+  if (location_count > reader.remaining() / 3 + 1) {
     return common::IoResult::Fail(
         "user frame: location count " + std::to_string(location_count) +
         " larger than the frame could hold");
   }
   out->locations.reserve(location_count);
-  for (uint32_t l = 0; l < location_count; ++l) {
-    uint64_t location = 0;
-    uint32_t entry_count = 0;
-    if (!reader.ReadU64(&location) || !reader.ReadU32(&entry_count)) {
+  int64_t prev_location = 0;
+  for (uint64_t l = 0; l < location_count; ++l) {
+    int64_t delta = 0;
+    uint64_t entry_count = 0;
+    if (!reader.ReadZigzag(&delta) || !reader.ReadVarint(&entry_count)) {
       return common::IoResult::Fail("user frame: truncated location record");
     }
-    if (entry_count > reader.remaining() / 12) {
+    const int64_t location = prev_location + delta;
+    // Strictly ascending ids are the encoder's invariant; a violation would
+    // silently merge locations on Adopt, so reject it structurally.
+    if (l > 0 && location <= prev_location) {
+      return common::IoResult::Fail(
+          "user frame: location ids not strictly ascending");
+    }
+    prev_location = location;
+    if (entry_count == 0) {
+      return common::IoResult::Fail("user frame: empty location record");
+    }
+    // An entry is at least timestamp + mode (payload may be empty).
+    if (entry_count > reader.remaining() / 2 + 1) {
       return common::IoResult::Fail(
           "user frame: entry count " + std::to_string(entry_count) +
           " larger than the frame could hold");
     }
     std::vector<Entry> entries;
     entries.reserve(entry_count);
-    for (uint32_t e = 0; e < entry_count; ++e) {
+    int64_t prev_timestamp = 0;
+    for (uint64_t e = 0; e < entry_count; ++e) {
       Entry entry;
-      uint64_t timestamp = 0;
-      uint32_t pattern_len = 0;
-      if (!reader.ReadU64(&timestamp) || !reader.ReadU32(&pattern_len)) {
+      int64_t ts_delta = 0;
+      if (!reader.ReadZigzag(&ts_delta)) {
         return common::IoResult::Fail("user frame: truncated entry header");
       }
-      // A zero-length pattern would violate Observe's invariant and abort
-      // downstream similarity math — reject it here, structurally.
-      if (pattern_len == 0) {
-        return common::IoResult::Fail("user frame: zero-length pattern");
-      }
-      if (!reader.ReadF32Array(pattern_len, &entry.pattern)) {
-        return common::IoResult::Fail(
-            "user frame: pattern length " + std::to_string(pattern_len) +
-            " larger than the remaining frame");
-      }
-      entry.timestamp = static_cast<int64_t>(timestamp);
+      entry.timestamp = prev_timestamp + ts_delta;
+      prev_timestamp = entry.timestamp;
+      common::IoResult read = ReadPattern(&reader, dim, &entry.pattern);
+      if (!read.ok) return read;
       entries.push_back(std::move(entry));
     }
-    out->locations.emplace_back(static_cast<int64_t>(location),
-                                std::move(entries));
+    out->locations.emplace_back(location, std::move(entries));
   }
   if (reader.AtEnd()) return common::IoResult::Ok();  // no pending section
-  uint32_t pending_count = 0;
-  if (!reader.ReadU32(&pending_count)) {
+  uint64_t pending_count = 0;
+  if (!reader.ReadVarint(&pending_count)) {
     return common::IoResult::Fail("user frame: truncated pending count");
   }
-  // A pending record is at least ts + location + length (20 bytes).
-  if (pending_count == 0 || pending_count > reader.remaining() / 20) {
+  // The encoder omits an empty section, so an explicit zero is corruption
+  // (or trailing garbage).
+  if (pending_count == 0) {
+    return common::IoResult::Fail("user frame: empty pending section");
+  }
+  // A pending delta is at least timestamp + location + mode (3 bytes).
+  if (pending_count > reader.remaining() / 3 + 1) {
     return common::IoResult::Fail(
         "user frame: pending count " + std::to_string(pending_count) +
         " larger than the frame could hold");
   }
   out->pending.reserve(pending_count);
-  for (uint32_t p = 0; p < pending_count; ++p) {
+  int64_t prev_timestamp = 0;
+  for (uint64_t p = 0; p < pending_count; ++p) {
     PendingDelta delta;
-    uint64_t timestamp = 0;
-    uint64_t location = 0;
-    uint32_t pattern_len = 0;
-    if (!reader.ReadU64(&timestamp) || !reader.ReadU64(&location) ||
-        !reader.ReadU32(&pattern_len)) {
-      return common::IoResult::Fail("user frame: truncated pending record");
-    }
-    if (pattern_len == 0) {
-      return common::IoResult::Fail("user frame: zero-length pending pattern");
-    }
-    if (!reader.ReadF32Array(pattern_len, &delta.pattern)) {
+    int64_t ts_delta = 0;
+    if (!reader.ReadZigzag(&ts_delta) ||
+        !reader.ReadZigzag(&delta.next_location)) {
       return common::IoResult::Fail(
-          "user frame: pending pattern length " + std::to_string(pattern_len) +
-          " larger than the remaining frame");
+          "user frame: truncated pending delta header");
     }
-    delta.timestamp = static_cast<int64_t>(timestamp);
-    delta.next_location = static_cast<int64_t>(location);
+    delta.timestamp = prev_timestamp + ts_delta;
+    prev_timestamp = delta.timestamp;
+    common::IoResult read = ReadPattern(&reader, dim, &delta.pattern);
+    if (!read.ok) return read;
     out->pending.push_back(std::move(delta));
   }
   if (!reader.AtEnd()) {

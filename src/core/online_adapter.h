@@ -173,19 +173,10 @@ class OnlineAdapter {
   /// fault point exactly as Predict does (on fault: appends nothing). Jobs
   /// record arena *offsets*, never pointers, so later appends (other
   /// requests in the batch) and subsequent adapter mutation (eviction,
-  /// ingestion) cannot invalidate them. Returns the number of jobs
-  /// appended.
-  size_t CollectRebuildJobs(int64_t user, const std::vector<float>& query,
-                            int64_t query_time,
-                            common::AlignedBuffer<float>* arena,
-                            std::vector<RebuildJob>* jobs) const;
-
-  /// Allocation-free CollectRebuildJobs: the raw-pointer query variant the
-  /// zero-alloc serving path feeds straight from a plan-encoded
-  /// representation buffer, with the ranking scratch (`fresh`) supplied by
-  /// the caller so its capacity is reused across requests. Identical
-  /// arithmetic and arena layout to the vector overload (which delegates
-  /// here). `query` must point at `hidden` floats.
+  /// ingestion) cannot invalidate them. `query` must point at `hidden`
+  /// floats; the ranking scratch (`fresh`) is the caller's, so its capacity
+  /// is reused across requests and the call allocates nothing once warm.
+  /// Returns the number of jobs appended.
   size_t CollectRebuildJobs(int64_t user, const float* query, int64_t hidden,
                             int64_t query_time,
                             common::AlignedBuffer<float>* arena,
@@ -210,27 +201,17 @@ class OnlineAdapter {
   size_t CollectCachedJobs(int64_t user, common::AlignedBuffer<float>* arena,
                            std::vector<RebuildJob>* jobs) const;
 
-  /// Whether the user has a cached rebuild.
-  bool HasRebuildCache(int64_t user) const;
-
   /// Phase 2: frozen-classifier scores for `query` with the adjusted
   /// columns described by `jobs` (from CollectRebuildJobs with this same
   /// query) overwritten, plus bias — exactly Predict's arithmetic,
   /// bit-identical to the historical per-location centroid loops. Static
   /// and read-only on the model + arena snapshot (no adapter state), so the
   /// batched serving sweep runs it *outside* the shard lock, one contiguous
-  /// vectorized pass per request.
-  static std::vector<float> ScoreCollectedJobs(
-      const AdaptableModel& model, const std::vector<float>& query,
-      const std::vector<RebuildJob>& jobs,
-      const common::AlignedBuffer<float>& arena);
-
-  /// Allocation-free ScoreCollectedJobs: writes into `scores` (resized once
-  /// to num_locations; capacity reuse makes steady state alloc-free) and
+  /// vectorized pass per request. Writes into `scores` (resized once to
+  /// num_locations; capacity reuse makes steady state alloc-free) and
   /// forces kernels serial inside the call (common::SerialKernelRegion —
   /// value-neutral by the §13 determinism contract, and the thread-pool path
-  /// would allocate futures). The vector overload delegates here, so the
-  /// arithmetic is single-sourced and bit-identical.
+  /// would allocate futures).
   static void ScoreCollectedJobsInto(const AdaptableModel& model,
                                      const float* query, int64_t hidden,
                                      const std::vector<RebuildJob>& jobs,
@@ -246,9 +227,9 @@ class OnlineAdapter {
   static std::vector<float> PredictFrozen(const AdaptableModel& model,
                                           const std::vector<float>& query);
 
-  /// Allocation-free PredictFrozen (same delegation scheme as
-  /// ScoreCollectedJobsInto). `query` must point at `hidden` floats; the
-  /// result lands in `scores`, resized to num_locations.
+  /// Allocation-free PredictFrozen (PredictFrozen delegates here). `query`
+  /// must point at `hidden` floats; the result lands in `scores`, resized
+  /// to num_locations.
   static void PredictFrozenInto(const AdaptableModel& model,
                                 const float* query, int64_t hidden,
                                 std::vector<float>* scores);
@@ -306,13 +287,52 @@ class OnlineAdapter {
   /// cannot inflate memory past the normal bound.
   void Adopt(UserSnapshot&& snap);
 
-  /// Snapshot wire format (DESIGN.md §11): user id, then per location the
-  /// id and its candidate entries. Encode/Decode are pure byte functions —
-  /// no adapter state — so the serving layer can decode a frame before
-  /// deciding which shard lock to take. Decode is strictly bounds-checked:
-  /// corrupt counts/lengths fail with a structured error naming the field,
-  /// never an allocation or out-of-range read.
-  static void EncodeUser(const UserSnapshot& snap, std::string* out);
+  /// Codec accounting for one EncodeUser call.
+  struct EncodeStats {
+    size_t locations = 0;
+    size_t patterns = 0;
+    /// Patterns that did not survive exact quantization and stayed raw f32.
+    size_t raw_patterns = 0;
+  };
+
+  /// The one per-user wire encoding (DESIGN.md §11–§12): serving snapshots,
+  /// the cold tier and shard migration all carry a user as these bytes.
+  /// Layout (integers varint/zigzag over common::durable_io):
+  ///
+  ///   zigzag  user id
+  ///   varint  pattern dimension D (the first entry's size, else the first
+  ///           pending delta's; other sizes use mode 2 below)
+  ///   varint  location count
+  ///   per location (ids strictly ascending, delta-encoded):
+  ///     zigzag  location delta vs previous location
+  ///     varint  entry count (>= 1)
+  ///     per entry (FIFO order, timestamps delta-encoded within the location):
+  ///       zigzag  timestamp delta vs previous entry
+  ///       u8      mode: 0 = raw f32 (4·D bytes), 1 = q8 (zigzag exponent
+  ///               followed by D int8 bytes — common/qfloat.h), 2 = raw f32
+  ///               with an explicit varint length (entries whose size != D)
+  ///   pending section, only when the user carries deferred ingests
+  ///   (DESIGN.md §16; a clean user's bytes end after the locations):
+  ///     varint  pending count (>= 1)
+  ///     per delta (arrival order, timestamps delta-encoded across the
+  ///     section): zigzag timestamp delta, zigzag next location, then the
+  ///     mode byte + payload as above
+  ///
+  /// Encode appends to `out` and is deterministic (identical state,
+  /// identical bytes — the snapshot chaos suite's oracle) and lossless: a
+  /// pattern is stored as q8 only when it has dimension D and decodes back
+  /// to bit-identical floats (always true for patterns the serving layer
+  /// canonicalized at ingest — serve::SessionStoreConfig::
+  /// canonicalize_patterns); anything else stays raw f32. Decode is a pure
+  /// byte function, so the serving layer can decode a frame before choosing
+  /// a shard lock, and strictly bounds-checked: hostile counts,
+  /// non-ascending locations and trailing bytes fail with a structured error
+  /// naming the field, never an allocation blow-up or out-of-range read. It
+  /// accepts any pattern size (including empty) because the cold tier must
+  /// round-trip any in-memory state; outside input is held to the stricter
+  /// rules of serve::SessionStore::Restore.
+  static void EncodeUser(const UserSnapshot& snap, std::string* out,
+                         EncodeStats* stats = nullptr);
   static common::IoResult DecodeUser(std::string_view bytes,
                                      UserSnapshot* out);
 

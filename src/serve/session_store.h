@@ -134,8 +134,11 @@ struct BatchAdaptStats {
 /// On-disk serving snapshots: a durable_io framed file (DESIGN.md §11).
 /// Frame 0 is a header {format version, pattern dim, user count}; every
 /// further frame is one user's knowledge base in OnlineAdapter's
-/// deterministic wire encoding.
+/// deterministic wire encoding (core::OnlineAdapter::EncodeUser — the same
+/// bytes the cold tier holds). Version 1 (the retired raw-f32 user
+/// encoding) is rejected by Restore.
 inline constexpr uint32_t kSnapshotMagic = 0xADA50001;
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 /// Accounting of one Snapshot or Restore pass.
 struct SnapshotStats {
@@ -334,7 +337,9 @@ class SessionStore {
   /// LRU, so the residency cap holds during restore too. A torn tail
   /// imports the verified prefix and reports ok (stats->torn_tail); CRC or
   /// decode corruption imports the verified prefix and returns the
-  /// structured error — never UB, never a half-imported user.
+  /// structured error — never UB, never a half-imported user. A frame
+  /// holding an empty pattern, or one whose size differs from the header's
+  /// dimension, is rejected the same way, naming the frame.
   common::IoResult Restore(const std::string& path,
                            SnapshotStats* stats = nullptr);
 

@@ -10,7 +10,7 @@
 namespace adamove::shard {
 
 CompactStore::CompactStore(const CompactStoreConfig& config)
-    : config_(config), arena_(config.slab_bytes) {}
+    : arena_(config.slab_bytes) {}
 
 void CompactStore::StoreBlobLocked(int64_t user, std::string_view bytes) {
   auto it = blobs_.find(user);
@@ -30,9 +30,11 @@ void CompactStore::StoreBlobLocked(int64_t user, std::string_view bytes) {
 
 void CompactStore::Accept(core::OnlineAdapter::UserSnapshot&& snap) {
   std::string encoded;
-  CompactEncodeStats encode_stats;
-  if (!snap.locations.empty()) {
-    EncodeCompactUser(snap, config_.options, &encoded, &encode_stats);
+  core::OnlineAdapter::EncodeStats encode_stats;
+  // A pending-only user (first request deferred under pressure) is real
+  // state: dropping it would lose its deferred ingests.
+  if (!snap.locations.empty() || !snap.pending.empty()) {
+    core::OnlineAdapter::EncodeUser(snap, &encoded, &encode_stats);
   }
   common::MutexLock lock(mu_);
   // An empty snapshot erases: "this user has no state" and "this user is
@@ -51,7 +53,7 @@ bool CompactStore::Take(int64_t user, core::OnlineAdapter::UserSnapshot* out) {
   // Blobs are only ever written by our own encoder (Accept) or admitted
   // through full decode validation (Load), so an undecodable blob here is
   // memory corruption — abort loudly rather than serve a half-user.
-  const common::IoResult decoded = DecodeCompactUser(bytes, out);
+  const common::IoResult decoded = core::OnlineAdapter::DecodeUser(bytes, out);
   ADAMOVE_CHECK(static_cast<bool>(decoded));
   blob_bytes_ -= it->second.length;
   arena_.Free(it->second.block);
@@ -155,7 +157,7 @@ common::IoResult CompactStore::Load(const std::string& path,
     // CHECKs decodability, so nothing unvalidated may enter the arena.
     core::OnlineAdapter::UserSnapshot snap;
     const common::IoResult decoded =
-        DecodeCompactUser(framed.frames[f], &snap);
+        core::OnlineAdapter::DecodeUser(framed.frames[f], &snap);
     if (!decoded) {
       if (stats != nullptr) {
         stats->users = users;

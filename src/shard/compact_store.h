@@ -10,8 +10,8 @@
 #include "common/arena.h"
 #include "common/durable_io.h"
 #include "common/mutex.h"
+#include "core/online_adapter.h"
 #include "serve/session_store.h"
-#include "shard/compact_state.h"
 
 namespace adamove::shard {
 
@@ -24,15 +24,13 @@ inline constexpr uint32_t kCompactStoreMagic = 0xADA5C0DE;
 struct CompactStoreConfig {
   /// Slab granule of the backing arena (common::SlabArena).
   size_t slab_bytes = 64 * 1024;
-  /// Compact codec options (q8 quantization on by default — still lossless,
-  /// see compact_state.h).
-  CompactOptions options;
 };
 
 /// The cold tier behind a serve::SessionStore (DESIGN.md §12): evicted
-/// users live here as compact blobs (compact_state.h) carved out of a slab
-/// arena, ~4x smaller than the dense OnlineAdapter representation and freed
-/// in O(1) on rehydration. Implements serve::ColdTier, so the session store
+/// users live here as compact blobs (core::OnlineAdapter::EncodeUser, the
+/// snapshot encoding, q8 where exact) carved out of a slab arena, ~4x
+/// smaller than the dense OnlineAdapter representation and freed in O(1)
+/// on rehydration. Implements serve::ColdTier, so the session store
 /// calls Take/Accept without knowing the representation.
 ///
 /// Thread-safe: one internal mutex guards the arena and the blob map. The
@@ -60,8 +58,8 @@ class CompactStore : public serve::ColdTier {
   bool Take(int64_t user, core::OnlineAdapter::UserSnapshot* out) override;
 
   /// ColdTier: encodes and stores a user's complete state, replacing any
-  /// previous blob. Empty snapshots just erase (a user with no entries has
-  /// nothing to keep).
+  /// previous blob. A user with stored entries or pending deltas is kept;
+  /// a fully empty snapshot just erases (nothing to keep).
   void Accept(core::OnlineAdapter::UserSnapshot&& snap) override;
 
   bool Contains(int64_t user) const;
@@ -94,7 +92,6 @@ class CompactStore : public serve::ColdTier {
   void StoreBlobLocked(int64_t user, std::string_view bytes)
       ADAMOVE_REQUIRES(mu_);
 
-  CompactStoreConfig config_;
   mutable common::Mutex mu_;
   common::SlabArena arena_ ADAMOVE_GUARDED_BY(mu_);
   std::unordered_map<int64_t, Blob> blobs_ ADAMOVE_GUARDED_BY(mu_);

@@ -38,9 +38,9 @@ std::unique_ptr<ShardedService::Group> ShardedService::MakeGroup(
     group->cold = std::make_unique<CompactStore>(config_.compact);
     store_config.cold_tier = group->cold.get();
     // Canonical ingest makes every stored pattern exactly quantizable, so
-    // dehydrate→rehydrate cycles through the q8 compact form are
-    // bit-identical (compact_state.h).
-    store_config.canonicalize_patterns = config_.compact.options.quantize;
+    // dehydrate→rehydrate cycles store the q8 form (the codec is lossless
+    // either way — core::OnlineAdapter::EncodeUser).
+    store_config.canonicalize_patterns = true;
   }
   group->store = std::make_unique<serve::SessionStore>(store_config);
   group->service = std::make_unique<serve::PredictionService>(

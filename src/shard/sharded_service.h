@@ -36,7 +36,7 @@ struct ShardedServiceConfig {
   /// Per-group session-store config. `cold_tier` and
   /// `canonicalize_patterns` are owned by this layer: each group gets its
   /// own CompactStore cold tier (unless `cold_tier` below is false), and
-  /// canonical ingest is switched on whenever quantized compact storage is.
+  /// canonical ingest is switched on whenever a cold tier exists.
   serve::SessionStoreConfig store;
   CompactStoreConfig compact;
   /// Attach a CompactStore behind every group's session store, turning the

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/durable_io.h"
 #include "core/lightmob.h"
 
 namespace adamove::serve {
@@ -277,6 +278,83 @@ TEST(SessionStoreTest, ConcurrentForgetRacesRestoreUnderCap) {
   for (int64_t u : users) store.Forget(u);
   EXPECT_EQ(store.UserCount(), 0u);
   for (int64_t u : users) EXPECT_EQ(store.PatternCount(u), 0u);
+  std::remove(path.c_str());
+}
+
+/// Writes a hand-built snapshot file: the header {version, pattern_dim,
+/// user count} and one encoded frame per user.
+void WriteSnapshot(
+    const std::string& path, uint32_t version, uint32_t pattern_dim,
+    const std::vector<core::OnlineAdapter::UserSnapshot>& users) {
+  common::FramedFileWriter writer(kSnapshotMagic);
+  std::string frame;
+  common::AppendU32(&frame, version);
+  common::AppendU32(&frame, pattern_dim);
+  common::AppendU64(&frame, users.size());
+  writer.AddFrame(frame);
+  for (const auto& snap : users) {
+    frame.clear();
+    core::OnlineAdapter::EncodeUser(snap, &frame);
+    writer.AddFrame(frame);
+  }
+  ASSERT_TRUE(static_cast<bool>(writer.Commit(path)));
+}
+
+core::OnlineAdapter::UserSnapshot OneEntryUser(int64_t user,
+                                               std::vector<float> pattern) {
+  core::OnlineAdapter::UserSnapshot snap;
+  snap.user = user;
+  snap.locations.push_back({3, {core::OnlineAdapter::Entry{pattern, 1000}}});
+  return snap;
+}
+
+/// The user codec round-trips any in-memory state, empty patterns included
+/// (the cold tier needs that), but a snapshot file is outside input: Restore
+/// rejects a frame holding an empty pattern and names it, even under a
+/// header that declares dimension 0. Users imported before it stand.
+TEST(SessionStoreTest, RestoreRejectsEmptyPatternsAndNamesTheFrame) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "adamove_store_empty.bin")
+          .string();
+  WriteSnapshot(path, kSnapshotVersion, 0, {OneEntryUser(4, {})});
+  SessionStore store{SessionStoreConfig{}};
+  common::IoResult r = store.Restore(path);
+  ASSERT_FALSE(static_cast<bool>(r));
+  EXPECT_NE(r.error.find("frame 1: user 4 has an empty pattern"),
+            std::string::npos)
+      << r.error;
+  EXPECT_EQ(store.UserCount(), 0u);
+
+  // An empty *pending* pattern behind a valid user: the first user stands.
+  core::OnlineAdapter::UserSnapshot dirty = OneEntryUser(6, Pattern(2));
+  dirty.pending.push_back(core::OnlineAdapter::PendingDelta{{}, 3, 2000});
+  WriteSnapshot(path, kSnapshotVersion, 8,
+                {OneEntryUser(5, Pattern(1)), dirty});
+  SnapshotStats stats;
+  r = store.Restore(path, &stats);
+  ASSERT_FALSE(static_cast<bool>(r));
+  EXPECT_NE(r.error.find("frame 2: user 6 has an empty pattern"),
+            std::string::npos)
+      << r.error;
+  EXPECT_EQ(stats.users, 1u);
+  EXPECT_EQ(store.PatternCount(5), 1u);
+  EXPECT_EQ(store.PatternCount(6), 0u);
+  std::remove(path.c_str());
+}
+
+/// Version 1 (the retired raw-f32 user encoding) is refused by name, before
+/// any frame is decoded.
+TEST(SessionStoreTest, RestoreRejectsSnapshotVersionOne) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "adamove_store_v1.bin")
+          .string();
+  WriteSnapshot(path, 1, 8, {OneEntryUser(4, Pattern(1))});
+  SessionStore store{SessionStoreConfig{}};
+  const common::IoResult r = store.Restore(path);
+  ASSERT_FALSE(static_cast<bool>(r));
+  EXPECT_NE(r.error.find("unsupported snapshot version 1"), std::string::npos)
+      << r.error;
+  EXPECT_EQ(store.UserCount(), 0u);
   std::remove(path.c_str());
 }
 

@@ -1,5 +1,3 @@
-#include "shard/compact_state.h"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -273,21 +271,17 @@ TEST(CompactStateTest, CanonicalStateRoundTripsBitIdentically) {
   const OnlineAdapter::UserSnapshot snap =
       CanonicalSnapshot(-42, 6, 8, 16, 11);
   std::string encoded;
-  CompactEncodeStats stats;
-  EncodeCompactUser(snap, CompactOptions{}, &encoded, &stats);
+  OnlineAdapter::EncodeStats stats;
+  OnlineAdapter::EncodeUser(snap, &encoded, &stats);
   EXPECT_EQ(stats.locations, 6u);
   EXPECT_EQ(stats.patterns, 48u);
   // Canonical patterns always survive exact quantization.
   EXPECT_EQ(stats.raw_patterns, 0u);
 
   OnlineAdapter::UserSnapshot back;
-  ASSERT_TRUE(static_cast<bool>(DecodeCompactUser(encoded, &back)))
-      << DecodeCompactUser(encoded, &back).error;
+  ASSERT_TRUE(static_cast<bool>(OnlineAdapter::DecodeUser(encoded, &back)))
+      << OnlineAdapter::DecodeUser(encoded, &back).error;
   EXPECT_TRUE(SnapshotsBitIdentical(snap, back));
-
-  int64_t user = 0;
-  ASSERT_TRUE(static_cast<bool>(PeekCompactUser(encoded, &user)));
-  EXPECT_EQ(user, -42);
 }
 
 TEST(CompactStateTest, NonCanonicalPatternsFallBackToLosslessRaw) {
@@ -303,12 +297,12 @@ TEST(CompactStateTest, NonCanonicalPatternsFallBackToLosslessRaw) {
   snap.locations.emplace_back(5, std::move(entries));
 
   std::string encoded;
-  CompactEncodeStats stats;
-  EncodeCompactUser(snap, CompactOptions{}, &encoded, &stats);
+  OnlineAdapter::EncodeStats stats;
+  OnlineAdapter::EncodeUser(snap, &encoded, &stats);
   EXPECT_EQ(stats.raw_patterns, 1u);  // q8 refused: would not be exact
 
   OnlineAdapter::UserSnapshot back;
-  ASSERT_TRUE(static_cast<bool>(DecodeCompactUser(encoded, &back)));
+  ASSERT_TRUE(static_cast<bool>(OnlineAdapter::DecodeUser(encoded, &back)));
   EXPECT_TRUE(SnapshotsBitIdentical(snap, back));
 }
 
@@ -316,15 +310,8 @@ TEST(CompactStateTest, CompactBlobIsAtLeastFourTimesSmallerThanResident) {
   const size_t dim = 64;  // hidden sizes the serving models actually use
   OnlineAdapter::UserSnapshot snap = CanonicalSnapshot(1, 8, 16, dim, 3);
   std::string compact;
-  EncodeCompactUser(snap, CompactOptions{}, &compact);
-  // The wire form is ~4x denser than the raw f32 wire encoding (1 byte per
-  // element instead of 4, against small per-entry overheads)…
-  std::string dense_wire;
-  OnlineAdapter::EncodeUser(snap, &dense_wire);
-  EXPECT_GE(static_cast<double>(dense_wire.size()),
-            3.5 * static_cast<double>(compact.size()))
-      << "wire " << dense_wire.size() << " vs compact " << compact.size();
-  // …and the acceptance ratio — compact payload vs the *resident* dense
+  OnlineAdapter::EncodeUser(snap, &compact);
+  // The acceptance ratio — compact payload vs the *resident* dense
   // OnlineAdapter representation the user would otherwise occupy (pattern
   // payloads plus container overheads) — clears 4x with room to spare.
   core::OnlineAdapter adapter{core::PttaConfig{}};
@@ -359,42 +346,38 @@ TEST(CompactStateTest, HeterogeneousPatternSizesRoundTripBitIdentically) {
   }
 
   std::string encoded;
-  CompactEncodeStats stats;
-  EncodeCompactUser(snap, CompactOptions{}, &encoded, &stats);
+  OnlineAdapter::EncodeStats stats;
+  OnlineAdapter::EncodeUser(snap, &encoded, &stats);
   EXPECT_EQ(stats.patterns, 8u);
 
   OnlineAdapter::UserSnapshot back;
-  const common::IoResult decoded = DecodeCompactUser(encoded, &back);
+  const common::IoResult decoded = OnlineAdapter::DecodeUser(encoded, &back);
   ASSERT_TRUE(static_cast<bool>(decoded)) << decoded.error;
   EXPECT_TRUE(SnapshotsBitIdentical(snap, back));
-
-  int64_t user = 0;
-  ASSERT_TRUE(static_cast<bool>(PeekCompactUser(encoded, &user)));
-  EXPECT_EQ(user, 13);
 }
 
 TEST(CompactStateTest, DecodeRejectsCorruptBlobsStructurally) {
   const OnlineAdapter::UserSnapshot snap = CanonicalSnapshot(9, 3, 4, 8, 7);
   std::string encoded;
-  EncodeCompactUser(snap, CompactOptions{}, &encoded);
+  OnlineAdapter::EncodeUser(snap, &encoded);
 
   OnlineAdapter::UserSnapshot out;
   // Every truncation point fails cleanly (never an allocation blow-up).
   for (size_t cut = 0; cut + 1 < encoded.size(); cut += 3) {
-    const common::IoResult r =
-        DecodeCompactUser(std::string_view(encoded).substr(0, cut), &out);
+    const common::IoResult r = OnlineAdapter::DecodeUser(
+        std::string_view(encoded).substr(0, cut), &out);
     EXPECT_FALSE(static_cast<bool>(r)) << "cut " << cut;
   }
   // Trailing garbage is corruption, not slack.
   std::string padded = encoded + "x";
-  EXPECT_FALSE(static_cast<bool>(DecodeCompactUser(padded, &out)));
+  EXPECT_FALSE(static_cast<bool>(OnlineAdapter::DecodeUser(padded, &out)));
   // Every single-byte flip either decodes to *something* valid or fails
   // with a structured error — it must never crash. (ASan/UBSan runs of
   // this test are the real assertion.)
   for (size_t i = 0; i < encoded.size(); ++i) {
     std::string flipped = encoded;
     flipped[i] = static_cast<char>(flipped[i] ^ 0x5A);
-    (void)DecodeCompactUser(flipped, &out);
+    (void)OnlineAdapter::DecodeUser(flipped, &out);
   }
 }
 
@@ -405,7 +388,7 @@ TEST(CompactStateTest, DecodeRejectsHostileCounts) {
   common::AppendVarint(&blob, 8);
   common::AppendVarint(&blob, 1ULL << 40);
   OnlineAdapter::UserSnapshot out;
-  const common::IoResult r = DecodeCompactUser(blob, &out);
+  const common::IoResult r = OnlineAdapter::DecodeUser(blob, &out);
   ASSERT_FALSE(static_cast<bool>(r));
   EXPECT_NE(r.error.find("location count"), std::string::npos) << r.error;
 
@@ -424,7 +407,7 @@ TEST(CompactStateTest, DecodeRejectsHostileCounts) {
   common::AppendZigzag(&blob2, 0);
   blob2.push_back(0);
   common::AppendF32Array(&blob2, std::vector<float>{1.0f}.data(), 1);
-  const common::IoResult r2 = DecodeCompactUser(blob2, &out);
+  const common::IoResult r2 = OnlineAdapter::DecodeUser(blob2, &out);
   ASSERT_FALSE(static_cast<bool>(r2));
   EXPECT_NE(r2.error.find("ascending"), std::string::npos) << r2.error;
 }
@@ -456,13 +439,13 @@ TEST(CompactStateTest, PendingDeltasRoundTripLosslessAndQuantized) {
   snap.pending.push_back(std::move(off_dim));
 
   std::string encoded;
-  CompactEncodeStats stats;
-  EncodeCompactUser(snap, CompactOptions{}, &encoded, &stats);
+  OnlineAdapter::EncodeStats stats;
+  OnlineAdapter::EncodeUser(snap, &encoded, &stats);
   EXPECT_EQ(stats.patterns, 12u + 3u);
   EXPECT_EQ(stats.raw_patterns, 2u);  // the inexact + off-dim deltas
 
   OnlineAdapter::UserSnapshot back;
-  const common::IoResult r = DecodeCompactUser(encoded, &back);
+  const common::IoResult r = OnlineAdapter::DecodeUser(encoded, &back);
   ASSERT_TRUE(static_cast<bool>(r)) << r.error;
   EXPECT_TRUE(SnapshotsBitIdentical(snap, back));
 }
@@ -473,7 +456,7 @@ TEST(CompactStateTest, CleanBlobsStayByteIdenticalAndDecodeWithoutPending) {
   // yields an empty pending buffer, not an error.
   const OnlineAdapter::UserSnapshot snap = CanonicalSnapshot(3, 2, 3, 8, 29);
   std::string clean;
-  EncodeCompactUser(snap, CompactOptions{}, &clean);
+  OnlineAdapter::EncodeUser(snap, &clean);
 
   OnlineAdapter::UserSnapshot dirty = snap;
   common::Rng rng(7);
@@ -483,13 +466,13 @@ TEST(CompactStateTest, CleanBlobsStayByteIdenticalAndDecodeWithoutPending) {
   delta.timestamp = 100;
   dirty.pending.push_back(std::move(delta));
   std::string dirty_encoded;
-  EncodeCompactUser(dirty, CompactOptions{}, &dirty_encoded);
+  OnlineAdapter::EncodeUser(dirty, &dirty_encoded);
   // The pending section strictly appends: the clean blob is a prefix.
   ASSERT_GT(dirty_encoded.size(), clean.size());
   EXPECT_EQ(dirty_encoded.compare(0, clean.size(), clean), 0);
 
   OnlineAdapter::UserSnapshot back;
-  ASSERT_TRUE(static_cast<bool>(DecodeCompactUser(clean, &back)));
+  ASSERT_TRUE(static_cast<bool>(OnlineAdapter::DecodeUser(clean, &back)));
   EXPECT_TRUE(back.pending.empty());
 }
 
@@ -508,11 +491,11 @@ TEST(CompactStateTest, PendingOnlyUserRoundTrips) {
     snap.pending.push_back(std::move(delta));
   }
   std::string encoded;
-  CompactEncodeStats stats;
-  EncodeCompactUser(snap, CompactOptions{}, &encoded, &stats);
+  OnlineAdapter::EncodeStats stats;
+  OnlineAdapter::EncodeUser(snap, &encoded, &stats);
   EXPECT_EQ(stats.raw_patterns, 0u);  // dim came from the pending section
   OnlineAdapter::UserSnapshot back;
-  const common::IoResult r = DecodeCompactUser(encoded, &back);
+  const common::IoResult r = OnlineAdapter::DecodeUser(encoded, &back);
   ASSERT_TRUE(static_cast<bool>(r)) << r.error;
   EXPECT_TRUE(SnapshotsBitIdentical(snap, back));
 }
@@ -520,21 +503,21 @@ TEST(CompactStateTest, PendingOnlyUserRoundTrips) {
 TEST(CompactStateTest, DecodeRejectsHostilePendingSections) {
   OnlineAdapter::UserSnapshot snap = CanonicalSnapshot(5, 1, 1, 4, 53);
   std::string clean;
-  EncodeCompactUser(snap, CompactOptions{}, &clean);
+  OnlineAdapter::EncodeUser(snap, &clean);
   OnlineAdapter::UserSnapshot out;
 
   // Explicit zero pending count: the encoder omits the empty section, so a
   // zero can only be corruption (or trailing garbage).
   std::string zero = clean;
   common::AppendVarint(&zero, 0);
-  const common::IoResult r0 = DecodeCompactUser(zero, &out);
+  const common::IoResult r0 = OnlineAdapter::DecodeUser(zero, &out);
   ASSERT_FALSE(static_cast<bool>(r0));
   EXPECT_NE(r0.error.find("pending"), std::string::npos) << r0.error;
 
   // A pending count far beyond what the bytes could hold.
   std::string huge = clean;
   common::AppendVarint(&huge, 1ULL << 40);
-  const common::IoResult r1 = DecodeCompactUser(huge, &out);
+  const common::IoResult r1 = OnlineAdapter::DecodeUser(huge, &out);
   ASSERT_FALSE(static_cast<bool>(r1));
   EXPECT_NE(r1.error.find("pending count"), std::string::npos) << r1.error;
 
@@ -542,21 +525,21 @@ TEST(CompactStateTest, DecodeRejectsHostilePendingSections) {
   snap.pending.push_back(OnlineAdapter::PendingDelta{{1.0f, 2.0f, 3.0f, 4.0f},
                                                      2, 900});
   std::string dirty;
-  EncodeCompactUser(snap, CompactOptions{}, &dirty);
+  OnlineAdapter::EncodeUser(snap, &dirty);
   // (cut == clean.size() is the valid pending-free blob, so start past it.)
   for (size_t cut = clean.size() + 1; cut < dirty.size(); ++cut) {
     const common::IoResult r =
-        DecodeCompactUser(std::string_view(dirty).substr(0, cut), &out);
+        OnlineAdapter::DecodeUser(std::string_view(dirty).substr(0, cut), &out);
     EXPECT_FALSE(static_cast<bool>(r)) << "cut " << cut;
   }
   std::string padded = dirty + "x";
-  EXPECT_FALSE(static_cast<bool>(DecodeCompactUser(padded, &out)));
+  EXPECT_FALSE(static_cast<bool>(OnlineAdapter::DecodeUser(padded, &out)));
   // Byte flips across the pending section: valid or structured error,
   // never a crash (the sanitizer stages are the real assertion).
   for (size_t i = clean.size(); i < dirty.size(); ++i) {
     std::string flipped = dirty;
     flipped[i] = static_cast<char>(flipped[i] ^ 0x5A);
-    (void)DecodeCompactUser(flipped, &out);
+    (void)OnlineAdapter::DecodeUser(flipped, &out);
   }
 }
 
@@ -581,11 +564,11 @@ TEST(CompactStateTest, RehydratedAdapterPredictsBitIdentically) {
 
   // Dehydrate through the compact codec, rehydrate into a fresh adapter.
   std::string blob;
-  CompactEncodeStats stats;
-  EncodeCompactUser(live.ExportUser(user), CompactOptions{}, &blob, &stats);
+  OnlineAdapter::EncodeStats stats;
+  OnlineAdapter::EncodeUser(live.ExportUser(user), &blob, &stats);
   EXPECT_EQ(stats.raw_patterns, 0u);  // fully quantized
   OnlineAdapter::UserSnapshot back;
-  ASSERT_TRUE(static_cast<bool>(DecodeCompactUser(blob, &back)));
+  ASSERT_TRUE(static_cast<bool>(OnlineAdapter::DecodeUser(blob, &back)));
   core::OnlineAdapter rehydrated{core::PttaConfig{}};
   rehydrated.Adopt(std::move(back));
 

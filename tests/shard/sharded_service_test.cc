@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "core/lightmob.h"
 #include "serve/session_store.h"
-#include "shard/compact_state.h"
 #include "shard/compact_store.h"
 
 namespace adamove::shard {
@@ -250,6 +249,67 @@ TEST(TwoTierStoreTest, HeterogeneousPatternDimsSurviveDehydration) {
   }
 }
 
+/// Regression (DESIGN.md §16, "costs staleness, never data"): a user whose
+/// only state is pending deltas — its first request was deferred — must
+/// survive a trip through the real compact cold tier. Accept used to encode
+/// only users with stored locations, so this user was erased on eviction
+/// and its deferred ingests were lost.
+TEST(TwoTierStoreTest, DeferredOnlyUserSurvivesEvictToCold) {
+  core::LightMob model(SmallConfig());
+  const int64_t user = 5;
+  data::Sample sample;
+  sample.user = user;
+  int64_t t = 1333238400;
+  for (int64_t loc : {1, 2, 7, 2, 7}) {
+    sample.recent.push_back({user, loc, t});
+    t += 3 * data::kSecondsPerHour;
+  }
+  sample.target = {user, 7, t};
+  const nn::Tensor reps = model.PrefixRepresentations(sample);
+
+  // Reference: the same request served inline.
+  serve::SessionStore reference{serve::SessionStoreConfig{}};
+  (void)reference.BatchObserveAndPredictEncoded(
+      model, {{&sample, serve::SessionStore::RepsView(reps)}});
+
+  CompactStore cold;
+  serve::SessionStoreConfig config;
+  config.cold_tier = &cold;
+  serve::SessionStore store(config);
+  serve::BatchAdaptOptions deferred;
+  deferred.mode = serve::AdaptExecMode::kDeferred;
+  std::vector<serve::AdaptStatus> statuses;
+  (void)store.BatchObserveAndPredictEncoded(
+      model, {{&sample, serve::SessionStore::RepsView(reps)}}, deferred,
+      &statuses, nullptr);
+  ASSERT_EQ(statuses[0], serve::AdaptStatus::kStaleAdapt);
+  ASSERT_EQ(store.PatternCount(user), 0u);
+  const size_t pending = store.PendingDeltaCount();
+  ASSERT_GT(pending, 0u);
+
+  ASSERT_TRUE(store.EvictToCold(user));
+  EXPECT_TRUE(cold.Contains(user));
+  EXPECT_EQ(store.PendingDeltaCount(), 0u);
+
+  // Rehydrate (Predict touches the user), then drain the deferred ingests.
+  const std::vector<float> query(reps.data().end() - reps.cols(),
+                                 reps.data().end());
+  (void)store.Predict(model, user, query, sample.target.timestamp);
+  EXPECT_FALSE(cold.Contains(user));
+  EXPECT_EQ(store.PendingDeltaCount(), pending);
+  EXPECT_EQ(store.DrainDirtyUsers(0), 1u);
+
+  core::OnlineAdapter::UserSnapshot drained;
+  ASSERT_TRUE(store.ExtractUser(user, &drained));
+  core::OnlineAdapter::UserSnapshot inline_state;
+  ASSERT_TRUE(reference.ExtractUser(user, &inline_state));
+  std::string drained_bytes;
+  std::string inline_bytes;
+  core::OnlineAdapter::EncodeUser(drained, &drained_bytes);
+  core::OnlineAdapter::EncodeUser(inline_state, &inline_bytes);
+  EXPECT_EQ(drained_bytes, inline_bytes);
+}
+
 TEST(CompactStoreTest, LoadRejectsDuplicateUserFrames) {
   const std::string path = TempPath("adamove_compact_store_dup");
   common::Rng rng(11);
@@ -262,7 +322,7 @@ TEST(CompactStoreTest, LoadRejectsDuplicateUserFrames) {
   entries.push_back(std::move(entry));
   snap.locations.emplace_back(2, std::move(entries));
   std::string blob;
-  EncodeCompactUser(snap, CompactOptions{}, &blob);
+  core::OnlineAdapter::EncodeUser(snap, &blob);
 
   // Hand-built file whose declared count matches the frame count, but the
   // same user appears twice: Save never writes that, so Load must treat it
